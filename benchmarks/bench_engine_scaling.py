@@ -1,24 +1,24 @@
-"""Benchmark: engine scaling — executors, cache hits and early reject.
+"""Benchmark: engine scaling — cache hits, early reject, batch, tracing.
 
 Runs the nine-kernel paper domain over an enlarged candidate grid
 (``shr``/``shc`` in 0..7, pipeline stages in {1, 2, 3, 4} — 253
 candidates) through the exploration engine and compares:
 
-* the serial backend against the process-pool backend,
 * a cold cache against a warm cache (the second sweep must be served
   entirely from the JSON-lines store),
-* the full sweep against the dominance-based early-reject filter.
+* the full sweep against the dominance-based early-reject filter,
+* the vectorized batch path against the scalar per-candidate walk,
+* traced against untraced sweeps.
 
 All configurations must select the same design point as the seed's serial
-``explore``.  The wall-clock assertion for the parallel backend only
-applies on multi-core machines; single-core CI still checks parity,
-cache-hit behaviour and the evaluation counts, which are deterministic.
+``explore``.  The scalar baseline is reached the way a platform without
+numpy reaches it (the ``scalar_evaluation`` fixture).
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
-import os
 import time
 
 import pytest
@@ -26,7 +26,7 @@ import pytest
 from repro.core.exploration import RSPDesignSpaceExplorer
 from repro.core.rsp_params import enumerate_design_space
 from repro.engine.cache import EvaluationCache
-from repro.engine.executor import ExecutorConfig, run_exploration
+from repro.engine.executor import run_exploration
 from repro.kernels import paper_suite
 from repro.mapping.profile import extract_profile
 from repro.trace.collect import TraceCollector
@@ -60,28 +60,19 @@ def timed_run(explorer, grid, **kwargs):
     return outcome, time.perf_counter() - started
 
 
-def test_engine_scaling_on_enlarged_grid(paper_explorer, scaling_grid, tmp_path, bench_metrics):
+def test_engine_scaling_on_enlarged_grid(
+    paper_explorer, scaling_grid, tmp_path, bench_metrics, scalar_evaluation
+):
     explorer, grid = paper_explorer, scaling_grid
 
-    # Reference: the seed-equivalent serial sweep (facade semantics).
-    # batch=False keeps this the per-candidate scalar baseline every
-    # other configuration is compared against — the process backend
-    # never batches, so racing it against a vectorized serial run would
-    # compare worker fan-out to numpy, not to the seed.  The
-    # batch-vs-scalar comparison has its own gated test below.
-    serial, serial_seconds = timed_run(
-        explorer, grid, config=ExecutorConfig(batch=False)
-    )
+    # Reference: the seed-equivalent serial sweep (facade semantics),
+    # on the per-candidate scalar path every other configuration is
+    # compared against.  The batch-vs-scalar comparison has its own
+    # gated test below.
+    with scalar_evaluation():
+        serial, serial_seconds = timed_run(explorer, grid)
     reference_selected = serial.result.selected.parameters
     reference_front = [e.parameters for e in serial.result.pareto]
-
-    # Parallel process backend.
-    workers = min(4, os.cpu_count() or 1)
-    parallel, parallel_seconds = timed_run(
-        explorer,
-        grid,
-        config=ExecutorConfig(backend="process", workers=max(workers, 2), chunk_size=16),
-    )
 
     # Cold then warm persistent cache.
     cache_path = tmp_path / "evals.jsonl"
@@ -95,8 +86,6 @@ def test_engine_scaling_on_enlarged_grid(paper_explorer, scaling_grid, tmp_path,
         {
             "candidates": len(grid),
             "serial_seconds": round(serial_seconds, 6),
-            "process_seconds": round(parallel_seconds, 6),
-            "process_workers": parallel.stats.workers,
             "cache_cold_seconds": round(cold_seconds, 6),
             "cache_warm_seconds": round(warm_seconds, 6),
             "warm_hit_rate": warm.stats.cache_hit_rate,
@@ -106,14 +95,7 @@ def test_engine_scaling_on_enlarged_grid(paper_explorer, scaling_grid, tmp_path,
     )
 
     rows = [
-        ["serial", serial.stats.evaluated, "-", "-", round(serial_seconds, 3)],
-        [
-            f"process x{parallel.stats.workers}",
-            parallel.stats.evaluated,
-            "-",
-            "-",
-            round(parallel_seconds, 3),
-        ],
+        ["serial scalar", serial.stats.evaluated, "-", "-", round(serial_seconds, 3)],
         ["cache cold", cold.stats.evaluated, cold.stats.cache_hits,
          cold.stats.cache_misses, round(cold_seconds, 3)],
         ["cache warm", warm.stats.evaluated, warm.stats.cache_hits,
@@ -135,7 +117,7 @@ def test_engine_scaling_on_enlarged_grid(paper_explorer, scaling_grid, tmp_path,
     )
 
     # Every configuration agrees with the seed-equivalent serial sweep.
-    for outcome in (parallel, cold, warm, rejecting):
+    for outcome in (cold, warm, rejecting):
         assert outcome.result.selected.parameters == reference_selected
         assert [e.parameters for e in outcome.result.pareto] == reference_front
 
@@ -149,22 +131,15 @@ def test_engine_scaling_on_enlarged_grid(paper_explorer, scaling_grid, tmp_path,
     assert rejecting.stats.early_rejected > len(grid) * 0.3
     assert rejecting.stats.evaluated < serial.stats.evaluated
 
-    # The parallel backend evaluates the same jobs; on a multi-core host it
-    # must also win on wall clock (meaningless under a single core, where
-    # process workers just time-slice).
-    assert parallel.stats.evaluated == serial.stats.evaluated
-    if (os.cpu_count() or 1) >= 2:
-        assert parallel_seconds < serial_seconds
-
 
 def test_tracing_overhead_stays_under_five_percent(
-    paper_explorer, scaling_grid, tmp_path, bench_metrics
+    paper_explorer, scaling_grid, tmp_path, bench_metrics, scalar_evaluation
 ):
     """The acceptance bar for the trace layer: tracing the full
     253-candidate sweep costs <5% wall clock, and the resulting DB
     reproduces the run's wave/result/hit counts exactly.
 
-    Measured on the scalar path (``batch=False``): the per-span cost is
+    Measured on the scalar path (``scalar_evaluation``): the per-span cost is
     what's being bounded, so the denominator must be the per-candidate
     sweep the ceiling was calibrated against — the vectorized path
     shrinks the sweep ~7x while tracing cost stays fixed, which would
@@ -172,7 +147,6 @@ def test_tracing_overhead_stays_under_five_percent(
     The batch path's own tracing is one span per wave, strictly
     cheaper."""
     explorer, grid = paper_explorer, scaling_grid
-    scalar = ExecutorConfig(batch=False)
 
     # One sweep is only a few hundred milliseconds, and scheduler
     # preemption inflates individual runs by 10-30% (measured CV ~9%)
@@ -191,32 +165,33 @@ def test_tracing_overhead_stays_under_five_percent(
     min_pairs, max_pairs, patience = 7, 25, 4
     untraced_times = []
     traced_times = []
-    timed_run(explorer, grid, config=scalar)  # warm-up, discarded
 
     def timed_quiet(observer):
         gc.collect()
         gc.disable()
         try:
-            return timed_run(explorer, grid, observer=observer, config=scalar)
+            return timed_run(explorer, grid, observer=observer)
         finally:
             gc.enable()
 
-    with TraceCollector(tmp_path, campaign="overhead") as collector:
-        observer = collector.observer("paper")
-        pairs = stale = 0
-        while pairs < min_pairs or (stale < patience and pairs < max_pairs):
-            runs = [(untraced_times, None), (traced_times, observer)]
-            if pairs % 2:
-                runs.reverse()
-            improved = False
-            for times, wave_observer in runs:
-                outcome, seconds = timed_quiet(wave_observer)
-                improved = improved or not times or seconds < min(times)
-                times.append(seconds)
-                if wave_observer is not None:
-                    traced = outcome
-            stale = 0 if improved else stale + 1
-            pairs += 1
+    with scalar_evaluation():
+        timed_run(explorer, grid)  # warm-up, discarded
+        with TraceCollector(tmp_path, campaign="overhead") as collector:
+            observer = collector.observer("paper")
+            pairs = stale = 0
+            while pairs < min_pairs or (stale < patience and pairs < max_pairs):
+                runs = [(untraced_times, None), (traced_times, observer)]
+                if pairs % 2:
+                    runs.reverse()
+                improved = False
+                for times, wave_observer in runs:
+                    outcome, seconds = timed_quiet(wave_observer)
+                    improved = improved or not times or seconds < min(times)
+                    times.append(seconds)
+                    if wave_observer is not None:
+                        traced = outcome
+                stale = 0 if improved else stale + 1
+                pairs += 1
 
     overhead = min(traced_times) / min(untraced_times) - 1.0
     print(
@@ -256,7 +231,9 @@ def test_tracing_overhead_stays_under_five_percent(
 BATCH_SPEEDUP_FLOOR = 5.0
 
 
-def test_batch_evaluation_speedup_on_cold_grid(paper_explorer, scaling_grid, bench_metrics):
+def test_batch_evaluation_speedup_on_cold_grid(
+    paper_explorer, scaling_grid, bench_metrics, scalar_evaluation
+):
     """The acceptance bar for the vectorized wave evaluator: the numpy
     batch path runs the 253-candidate cold grid at least 5x faster than
     the scalar per-candidate walk, with byte-identical exploration
@@ -265,15 +242,14 @@ def test_batch_evaluation_speedup_on_cold_grid(paper_explorer, scaling_grid, ben
     from repro.utils.serialization import to_json
 
     explorer, grid = paper_explorer, scaling_grid
-    scalar_config = ExecutorConfig(batch=False)
-    batch_config = ExecutorConfig()
 
     # Warm-ups, discarded: first calls pay one-time costs on both sides
     # (numpy import and module caches) that are not the steady state a
     # campaign sees.  The timed batch runs still rebuild the evaluator's
     # profile tables every run — that cost is part of the fast path.
-    scalar_reference, _ = timed_run(explorer, grid, config=scalar_config)
-    batch_reference, _ = timed_run(explorer, grid, config=batch_config)
+    with scalar_evaluation():
+        scalar_reference, _ = timed_run(explorer, grid)
+    batch_reference, _ = timed_run(explorer, grid)
 
     # Interleaved fastest-of-N, same rationale as the tracing-overhead
     # test: the minimum discards scheduler preemption instead of
@@ -281,14 +257,15 @@ def test_batch_evaluation_speedup_on_cold_grid(paper_explorer, scaling_grid, ben
     scalar_times = []
     batch_times = []
     for repeat in range(5):
-        runs = [(scalar_times, scalar_config), (batch_times, batch_config)]
+        runs = [(scalar_times, scalar_evaluation()), (batch_times, contextlib.nullcontext())]
         if repeat % 2:
             runs.reverse()
-        for times, config in runs:
+        for times, path in runs:
             gc.collect()
             gc.disable()
             try:
-                _, seconds = timed_run(explorer, grid, config=config)
+                with path:
+                    _, seconds = timed_run(explorer, grid)
             finally:
                 gc.enable()
             times.append(seconds)

@@ -27,7 +27,7 @@ from repro.core.exploration import RSPDesignSpaceExplorer
 from repro.core.rsp_params import enumerate_design_space
 from repro.core.stalls import CriticalOpIssue, ScheduleProfile
 from repro.engine.cache import EvaluationCache
-from repro.engine.executor import ExecutorConfig, run_exploration
+from repro.engine.executor import run_exploration
 from repro.engine.stream import AsyncPrefetcher
 from repro.service import StoreServer
 from repro.store import RemoteBackend, ShardedJsonlBackend, StoreBackend
@@ -123,7 +123,7 @@ def campaign(server, grid, explorer, namespace, prefetcher=None):
     outcome = run_exploration(
         explorer,
         candidates=grid,
-        config=ExecutorConfig(chunk_size=8),
+        chunk_size=8,
         cache=cache,
         prefetcher=prefetcher,
     )

@@ -15,6 +15,7 @@ with each job log.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import platform
 import sys
@@ -82,6 +83,26 @@ def pytest_sessionfinish(session, exitstatus):
     report_path = Path(path)
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.fixture()
+def scalar_evaluation(monkeypatch):
+    """Context-manager factory: evaluate through the scalar models.
+
+    No option selects the scalar path; numpy availability alone decides
+    it.  So the gated benches reach the scalar baseline the way a
+    platform without numpy does, through the monkeypatchable
+    :func:`repro.core.batch.numpy_available`.
+    """
+    import repro.core.batch as batch_module
+
+    @contextlib.contextmanager
+    def scalar():
+        with monkeypatch.context() as patch:
+            patch.setattr(batch_module, "numpy_available", lambda: False)
+            yield
+
+    return scalar
 
 
 @pytest.fixture(scope="session")

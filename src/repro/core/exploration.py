@@ -34,7 +34,6 @@ from repro.errors import ExplorationError
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.engine.cache import EvaluationCache
-    from repro.engine.executor import ExecutorConfig
 
 
 @dataclass(frozen=True)
@@ -243,19 +242,18 @@ class RSPDesignSpaceExplorer:
         candidates: Optional[Sequence[RSPParameters]] = None,
         constraints: Optional[ExplorationConstraints] = None,
         *,
-        executor: Optional["ExecutorConfig"] = None,
         cache: Optional["EvaluationCache"] = None,
     ) -> ExplorationResult:
         """Run the exploration over ``candidates`` (defaults to the standard sweep).
 
         This is a facade over :func:`repro.engine.executor.run_exploration`:
-        the engine evaluates the candidates (batched, optionally through a
-        parallel backend and a persistent cache), applies the feasibility
-        constraints, keeps the Pareto points and selects the knee.  The
-        base point is evaluated exactly once, even when it appears in the
-        candidate list.  Pass ``executor``/``cache`` to opt into parallel
-        or memoised evaluation; campaign-level features (early reject,
-        reports, the CLI) live in :mod:`repro.engine`.
+        the engine evaluates the candidates (in vectorized waves, optionally
+        through a persistent cache), applies the feasibility constraints,
+        keeps the Pareto points and selects the knee.  The base point is
+        evaluated exactly once, even when it appears in the candidate
+        list.  Pass ``cache`` to opt into memoised evaluation;
+        campaign-level features (early reject, reports, the CLI) live in
+        :mod:`repro.engine`.
         """
         from repro.engine.executor import run_exploration
 
@@ -263,7 +261,6 @@ class RSPDesignSpaceExplorer:
             self,
             candidates=candidates,
             constraints=constraints,
-            config=executor,
             cache=cache,
         )
         return outcome.result

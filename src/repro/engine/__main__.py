@@ -2,9 +2,9 @@
 
 Runs a multi-suite exploration campaign and writes a JSON report, e.g.::
 
-    python -m repro.engine --suite paper --workers 4 --output report.json
-    python -m repro.engine --suite livermore --suite dsp --backend process \\
-        --workers 8 --early-reject --cache-dir .repro_engine_cache
+    python -m repro.engine --suite paper --output report.json
+    python -m repro.engine --suite livermore --suite dsp --early-reject \\
+        --cache-dir .repro_engine_cache
 
 The cache directory persists across invocations; a second identical run
 is served almost entirely from it (the report's ``cache_hits`` /
@@ -55,14 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="kernel suite to explore (repeatable; default: paper)",
     )
     parser.add_argument("--name", default="campaign", help="campaign name used in the report")
+    # Kept, hidden, for callers that still pass the serial defaults; the
+    # spec rejects any other value (the parallel backends were removed).
+    parser.add_argument("--backend", default="serial", help=argparse.SUPPRESS)
+    parser.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     parser.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="evaluation backend (default: thread; serial is forced when --workers 1)",
+        "--chunk-size",
+        type=int,
+        default=8,
+        help="candidates per evaluation wave (also the stream/checkpoint granularity)",
     )
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
-    parser.add_argument("--chunk-size", type=int, default=8, help="candidates per dispatch chunk")
     parser.add_argument(
         "--max-rows-shared", type=int, default=2, help="largest shr in the candidate grid"
     )
@@ -92,21 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--early-reject",
         action="store_true",
         help="skip provably dominated candidates before stall estimation",
-    )
-    parser.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=None,
-        help="request the vectorized (numpy) evaluation fast path; the "
-        "default engages it automatically whenever numpy is available and "
-        "the backend is serial or thread (results are identical either way)",
-    )
-    parser.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="force the scalar per-candidate evaluation path",
     )
     parser.add_argument(
         "--cache-dir",
@@ -330,7 +317,6 @@ def _run_worker_mode(args: argparse.Namespace, spec, artifact_dir) -> int:
             store_url=args.store_url,
             store_tier=args.store_tier,
             store_shards=args.store_shards,
-            batch=args.batch,
             poll_interval=args.poll_interval,
             lease_delay=args.lease_delay,
         )
@@ -414,7 +400,6 @@ def _run(args: argparse.Namespace) -> int:
         stream_dir=args.stream,
         resume=args.resume,
         trace_dir=args.trace,
-        batch=args.batch,
         flow=args.flow,
     )
     try:
@@ -427,8 +412,7 @@ def _run(args: argparse.Namespace) -> int:
             format_table(
                 report.summary_rows(),
                 headers=list(SUMMARY_HEADERS),
-                title=f"campaign {report.campaign!r} "
-                f"[{report.backend} x{report.workers}, chunk {report.chunk_size}]",
+                title=f"campaign {report.campaign!r} [chunk {report.chunk_size}]",
             )
         )
         print(

@@ -2,7 +2,7 @@
 
 A *campaign* is the engine's unit of work: one or more kernel suites, a
 candidate grid over the RSP parameter space, feasibility constraints and
-an executor configuration.  Each candidate becomes an
+the evaluation wave size.  Each candidate becomes an
 :class:`EvaluationJob` whose identity is a content hash over everything
 that determines the evaluation outcome:
 
@@ -143,8 +143,14 @@ class CampaignSpec:
         :func:`~repro.core.rsp_params.enumerate_design_space`.
     constraints:
         Feasibility constraints applied before Pareto filtering.
-    backend / workers / chunk_size:
-        Executor selection (see :mod:`repro.engine.executor`).
+    backend / workers:
+        Only ``"serial"`` and ``1`` are accepted.  Evaluation is always
+        serial, in numpy-batched waves; the thread and process backends
+        were removed.  The fields stay so specs, payloads and
+        fingerprints of serial campaigns keep their form.
+    chunk_size:
+        Candidates per evaluation wave (see :mod:`repro.engine.executor`),
+        also the stream/checkpoint granularity.
     early_reject:
         Enable the dominance-based early-reject filter.  Rejected
         candidates are provably dominated, so the Pareto front and the
@@ -171,6 +177,14 @@ class CampaignSpec:
             raise ExplorationError(
                 f"unknown suites {unknown!r}; known suites: {', '.join(SUITE_NAMES)}"
             )
+        if self.backend != "serial" or self.workers != 1:
+            raise ExplorationError(
+                f"backend={self.backend!r}, workers={self.workers}: the thread and "
+                "process backends were removed; evaluation is serial in numpy-batched "
+                "waves, so backend must be 'serial' and workers 1"
+            )
+        if self.chunk_size < 1:
+            raise ExplorationError("chunk_size must be at least 1")
 
     def as_payload(self) -> dict:
         """The JSON-safe wire form of this spec (coordinator submissions).

@@ -7,9 +7,9 @@ A campaign walks its suites in order.  For every suite the runner
    provider* — by default the staged mapping pipeline
    (:class:`~repro.mapping.pipeline.MappingPipeline`), so with a warm
    artifact store the base scheduling work is fetched instead of re-run,
-2. runs the candidate grid through the evaluation engine — batched,
-   optionally parallel, backed by the persistent cache, optionally with
-   the dominance early-reject filter,
+2. runs the candidate grid through the evaluation engine — in vectorized
+   waves, backed by the persistent cache, optionally with the dominance
+   early-reject filter,
 3. records the outcome as a :class:`SuiteReport`, including per-stage
    mapping timings and artifact-store hit counts.
 
@@ -37,11 +37,7 @@ from repro.store import (
     StoreJanitor,
     TieredBackend,
 )
-from repro.engine.executor import (
-    EngineRunStats,
-    ExecutorConfig,
-    run_exploration,
-)
+from repro.engine.executor import EngineRunStats, run_exploration
 from repro.engine.jobs import CampaignSpec, evaluation_context_hash, suite_kernels
 from repro.engine.stream import AsyncPrefetcher, CampaignStreamController
 from repro.ir.loops import Kernel
@@ -93,8 +89,6 @@ class CampaignReport:
 
     campaign: str
     suites: List[SuiteReport]
-    backend: str
-    workers: int
     chunk_size: int
     early_reject: bool
     cache_path: Optional[str]
@@ -180,7 +174,7 @@ class CampaignRunner:
     Parameters
     ----------
     spec:
-        The campaign description (suites, grid, constraints, executor).
+        The campaign description (suites, grid, constraints, wave size).
     cache_dir:
         Directory for the persistent evaluation store; ``None`` disables
         persistence (evaluations are still memoised within the run).
@@ -246,14 +240,6 @@ class CampaignRunner:
         (``rearrange`` vs ``remap`` vs skip) show up in the suite's
         ``mapping_stages``.  Incompatible with ``mapper`` (a supplied
         mapper already carries its pipeline and flow).
-    batch:
-        Vectorized-evaluation override forwarded to
-        :class:`~repro.engine.executor.ExecutorConfig`: ``None`` engages
-        the numpy fast path automatically where it applies, ``False``
-        forces the scalar walk.  Results are identical either way, which
-        is why the flag is a runner argument and not part of the
-        :class:`~repro.engine.jobs.CampaignSpec` (it must not change
-        campaign fingerprints or checkpoint identity).
     gc_max_age:
         When set, a post-campaign janitor pass evicts store entries not
         written or read for this many seconds.
@@ -278,7 +264,6 @@ class CampaignRunner:
         stream_dir: Optional[Path] = None,
         resume: bool = False,
         trace_dir: Optional[Path] = None,
-        batch: Optional[bool] = None,
         flow=None,
     ) -> None:
         if mapper is not None and flow is not None:
@@ -295,7 +280,6 @@ class CampaignRunner:
         if resume and stream_dir is None:
             raise ValueError("resume replays a stream directory; it needs stream_dir")
         self.spec = spec
-        self.batch = batch
         self.stream_dir = Path(stream_dir) if stream_dir is not None else None
         self.resume = resume
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
@@ -395,12 +379,6 @@ class CampaignRunner:
         collector=None,
     ) -> Tuple[CampaignReport, Dict[str, ExplorationResult]]:
         started = time.perf_counter()
-        config = ExecutorConfig(
-            backend=self.spec.backend,
-            workers=self.spec.workers,
-            chunk_size=self.spec.chunk_size,
-            batch=self.batch,
-        )
         candidates = self.spec.candidate_grid()
         suite_reports: List[SuiteReport] = []
         results: Dict[str, ExplorationResult] = {}
@@ -418,8 +396,6 @@ class CampaignRunner:
             campaign_span = collector.tracer.span(
                 self.spec.name,
                 kind="campaign",
-                backend=config.resolved_backend,
-                workers=config.workers,
                 suites=len(self.spec.suites),
                 candidates=len(candidates),
             )
@@ -500,7 +476,7 @@ class CampaignRunner:
                 explorer,
                 candidates=candidates,
                 constraints=self.spec.constraints,
-                config=config,
+                chunk_size=self.spec.chunk_size,
                 cache=cache,
                 early_reject=self.spec.early_reject,
                 completed_records=(
@@ -603,9 +579,7 @@ class CampaignRunner:
         report = CampaignReport(
             campaign=self.spec.name,
             suites=suite_reports,
-            backend=config.resolved_backend,
-            workers=config.workers,
-            chunk_size=config.chunk_size,
+            chunk_size=self.spec.chunk_size,
             early_reject=self.spec.early_reject,
             cache_path=";".join(cache_paths) if cache_paths else None,
             total_jobs=totals.total_jobs,

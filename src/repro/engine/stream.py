@@ -518,8 +518,6 @@ def deterministic_report_payload(report: "CampaignReport") -> dict:
         suites.append(entry)
     return {
         "campaign": report.campaign,
-        "backend": report.backend,
-        "workers": report.workers,
         "chunk_size": report.chunk_size,
         "early_reject": report.early_reject,
         "total_jobs": report.total_jobs,
@@ -686,8 +684,6 @@ class CampaignStreamController:
             fingerprint=self.fingerprint,
             resumed=self.resumed,
             checkpoint_records=self.resumed_records,
-            backend=self.spec.backend,
-            workers=self.spec.workers,
             chunk_size=self.spec.chunk_size,
             early_reject=self.spec.early_reject,
         )

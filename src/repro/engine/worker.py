@@ -48,11 +48,7 @@ from repro.core.rsp_params import base_parameters
 from repro.engine.artifacts import ArtifactStore
 from repro.engine.cache import EvaluationCache, evaluation_record
 from repro.engine.checkpoint import CHECKPOINT_FILENAME, campaign_fingerprint
-from repro.engine.executor import (
-    EngineRunStats,
-    EvaluationEngine,
-    ExecutorConfig,
-)
+from repro.engine.executor import EngineRunStats, EvaluationEngine
 from repro.engine.jobs import (
     CampaignSpec,
     EvaluationJob,
@@ -282,7 +278,6 @@ class _SuiteContext:
         suite: str,
         spec: CampaignSpec,
         mapper: RSPMapper,
-        config: ExecutorConfig,
         cache_dir: Optional[Path],
         store_backend,
         store_shards: int,
@@ -307,7 +302,9 @@ class _SuiteContext:
                 cache = EvaluationCache.for_context(
                     cache_dir, context, shards=store_shards
                 )
-        self.engine = EvaluationEngine(self.explorer, config=config, cache=cache)
+        self.engine = EvaluationEngine(
+            self.explorer, chunk_size=spec.chunk_size, cache=cache
+        )
         self.jobs: List[EvaluationJob] = [
             EvaluationJob(parameters=parameters)
             for parameters in spec.candidate_grid()
@@ -355,7 +352,6 @@ def run_worker(
     store_url: Optional[str] = None,
     store_tier: bool = False,
     store_shards: int = 1,
-    batch: Optional[bool] = None,
     poll_interval: float = 0.5,
     lease_delay: float = 0.0,
     finalize: bool = True,
@@ -391,12 +387,6 @@ def run_worker(
     else:
         artifact_store = ArtifactStore(artifact_dir, shards=store_shards)
     mapper = RSPMapper(store=artifact_store)
-    config = ExecutorConfig(
-        backend=spec.backend,
-        workers=spec.workers,
-        chunk_size=spec.chunk_size,
-        batch=batch,
-    )
 
     submission = client.submit(spec.as_payload(), wave_size)
     campaign_id = submission["campaign"]
@@ -407,11 +397,7 @@ def run_worker(
     )
 
     contexts: Dict[str, _SuiteContext] = {}
-    stats = EngineRunStats(
-        backend=config.resolved_backend,
-        workers=config.workers,
-        chunk_size=config.chunk_size,
-    )
+    stats = EngineRunStats(chunk_size=spec.chunk_size)
     tracer = get_tracer()
     waves_completed = 0
     records_reported = 0
@@ -446,7 +432,7 @@ def run_worker(
                 context = contexts.get(suite)
                 if context is None:
                     context = _SuiteContext(
-                        suite, spec, mapper, config, cache_dir, store_backend, store_shards
+                        suite, spec, mapper, cache_dir, store_backend, store_shards
                     )
                     contexts[suite] = context
                 records = context.evaluate_wave(
@@ -503,7 +489,6 @@ def run_worker(
             store_url=store_url,
             store_tier=store_tier,
             store_shards=store_shards,
-            batch=batch,
         )
     client.close()
     return summary
@@ -521,7 +506,6 @@ def _finalize(
     store_url: Optional[str],
     store_tier: bool,
     store_shards: int,
-    batch: Optional[bool],
 ) -> CampaignReport:
     """Derive the canonical report from the coordinator's merged checkpoint.
 
@@ -550,7 +534,6 @@ def _finalize(
         store_shards=store_shards,
         stream_dir=stream_dir,
         resume=True,
-        batch=batch,
     )
     try:
         report, _ = runner.run()

@@ -41,7 +41,6 @@ from repro.mapping.mapper import MappingResult, RSPMapper
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.engine.artifacts import ArtifactStore
     from repro.engine.cache import EvaluationCache
-    from repro.engine.executor import ExecutorConfig
 
 
 @dataclass
@@ -80,7 +79,6 @@ def run_rsp_flow(
     constraints: Optional[ExplorationConstraints] = None,
     cost_model: Optional[HardwareCostModel] = None,
     timing_model: Optional[TimingModel] = None,
-    executor: Optional["ExecutorConfig"] = None,
     cache: Optional["EvaluationCache"] = None,
     artifact_store: Optional[Union["ArtifactStore", str, Path]] = None,
     store_shards: int = 1,
@@ -105,12 +103,10 @@ def run_rsp_flow(
         Feasibility constraints applied before Pareto filtering.
     cost_model / timing_model:
         Models used for the exploration estimates.
-    executor / cache:
-        Evaluation-engine options (see :mod:`repro.engine`): a backend
-        configuration for parallel candidate evaluation and a persistent
-        cache so repeated flows never recompute an evaluation.  The
-        exploration step always runs through the engine; these arguments
-        only tune it.
+    cache:
+        Persistent evaluation cache (see :mod:`repro.engine`), so repeated
+        flows never recompute an evaluation.  The exploration step always
+        runs through the engine; the cache only memoises it.
     artifact_store:
         Optional persistent :class:`~repro.engine.artifacts.ArtifactStore`
         backing the staged mapping pipeline: base schedules, profiles and
@@ -175,7 +171,7 @@ def run_rsp_flow(
             profiles, array=array_spec, cost_model=cost_model, timing_model=timing_model
         )
         candidate_list = list(candidates) if candidates is not None else enumerate_design_space()
-        exploration = explorer.explore(candidate_list, constraints, executor=executor, cache=cache)
+        exploration = explorer.explore(candidate_list, constraints, cache=cache)
 
         selected_architecture: Optional[ArchitectureSpec] = None
         rsp_mappings: Dict[str, MappingResult] = {}

@@ -4,9 +4,7 @@ These types grew up inside :mod:`repro.mapping.pipeline` when the mapping
 flow was a hard-coded five-stage chain; the flow-graph refactor moved them
 here because they describe *any* flow's execution — one
 :class:`StageTiming` per node name, one :class:`Artifact` per materialised
-output — not something mapping-specific.  The old import paths
-(``repro.mapping.pipeline.PipelineStats`` etc.) keep working for one
-release through deprecation shims.
+output — not something mapping-specific.
 """
 
 from __future__ import annotations

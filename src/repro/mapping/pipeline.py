@@ -38,7 +38,6 @@ changed kernel body changes the DFG, the fingerprint and every key.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -115,31 +114,6 @@ STAGE_NAMES: Tuple[str, ...] = tuple(stage.name for stage in PIPELINE_STAGES)
 
 #: Stage declarations by name.
 STAGES_BY_NAME: Dict[str, StageSpec] = {stage.name: stage for stage in PIPELINE_STAGES}
-
-
-# ----------------------------------------------------------------------
-# Moved names: deprecation shims
-# ----------------------------------------------------------------------
-#: Accounting types that moved to :mod:`repro.flowgraph.stats` in the
-#: flow-graph refactor.  Importing them from here still works but warns.
-_MOVED_TO_FLOWGRAPH_STATS = (
-    "Artifact",
-    "PipelineStats",
-    "StageTiming",
-    "stage_timings_as_dict",
-)
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_FLOWGRAPH_STATS:
-        warnings.warn(
-            f"repro.mapping.pipeline.{name} moved to repro.flowgraph.stats; "
-            f"import it from repro.flowgraph (or the repro package root) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_flowstats, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------

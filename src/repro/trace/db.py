@@ -146,8 +146,8 @@ class TraceDB:
         if os.getpid() != self._pid:
             raise TraceError(
                 "trace databases are single-writer: this handle belongs to "
-                f"pid {self._pid}, not {os.getpid()} — forked workers must "
-                "ship spans through the parent (Tracer.ingest), not write"
+                f"pid {self._pid}, not {os.getpid()} — a forked child must "
+                "open its own trace DB, not write this one"
             )
 
     # ------------------------------------------------------------------

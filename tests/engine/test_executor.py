@@ -1,4 +1,4 @@
-"""Tests for the evaluation engine: backends, cache integration, early reject."""
+"""Tests for the evaluation engine: waves, cache integration, early reject."""
 
 from __future__ import annotations
 
@@ -12,11 +12,7 @@ from repro.core.exploration import (
 from repro.core.rsp_params import enumerate_design_space, paper_parameters
 from repro.core.stalls import CriticalOpIssue, ScheduleProfile
 from repro.engine.cache import EvaluationCache
-from repro.engine.executor import (
-    EvaluationEngine,
-    ExecutorConfig,
-    run_exploration,
-)
+from repro.engine.executor import EvaluationEngine, run_exploration
 from repro.engine.jobs import EvaluationJob
 from repro.errors import ExplorationError
 
@@ -41,46 +37,33 @@ def explorer():
 
 @pytest.fixture(scope="module")
 def serial_reference(explorer):
-    return run_exploration(explorer, config=ExecutorConfig()).result
+    return run_exploration(explorer).result
+
+
+def scalar_exploration(explorer, monkeypatch, **kwargs):
+    """The scalar oracle, reached the way a numpy-less platform reaches it."""
+    import repro.core.batch as batch_module
+
+    with monkeypatch.context() as patch:
+        patch.setattr(batch_module, "numpy_available", lambda: False)
+        return run_exploration(explorer, **kwargs)
 
 
 # ----------------------------------------------------------------------
-# Config validation
+# Wave size
 # ----------------------------------------------------------------------
-def test_executor_config_validation():
-    with pytest.raises(ExplorationError):
-        ExecutorConfig(backend="gpu")
-    with pytest.raises(ExplorationError):
-        ExecutorConfig(workers=0)
-    with pytest.raises(ExplorationError):
-        ExecutorConfig(chunk_size=0)
+def test_executor_config_validation(explorer):
+    with pytest.raises(ExplorationError, match="chunk_size"):
+        EvaluationEngine(explorer, chunk_size=0)
+    with pytest.raises(ExplorationError, match="chunk_size"):
+        run_exploration(explorer, chunk_size=0)
 
 
-def test_single_worker_resolves_to_serial():
-    assert ExecutorConfig(backend="process", workers=1).resolved_backend == "serial"
-    assert ExecutorConfig(backend="process", workers=3).resolved_backend == "process"
-
-
-# ----------------------------------------------------------------------
-# Backend parity
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_parallel_backends_match_serial(explorer, serial_reference, backend):
-    config = ExecutorConfig(backend=backend, workers=2, chunk_size=3)
-    result = run_exploration(explorer, config=config).result
-    assert [e.parameters for e in result.evaluated] == [
-        e.parameters for e in serial_reference.evaluated
-    ]
-    assert [e.area_slices for e in result.evaluated] == [
-        e.area_slices for e in serial_reference.evaluated
-    ]
-    assert [e.total_estimated_cycles for e in result.evaluated] == [
-        e.total_estimated_cycles for e in serial_reference.evaluated
-    ]
-    assert [e.parameters for e in result.pareto] == [
-        e.parameters for e in serial_reference.pareto
-    ]
-    assert result.selected.parameters == serial_reference.selected.parameters
+def test_chunk_size_changes_waves_not_results(explorer, serial_reference):
+    outcome = run_exploration(explorer, chunk_size=3)
+    jobs = outcome.stats.total_jobs - 1  # the base point never rides a wave
+    assert outcome.stats.waves == -(-jobs // 3)
+    assert outcome.result == serial_reference
 
 
 def test_engine_matches_explorer_facade(explorer, serial_reference):
@@ -160,7 +143,7 @@ def test_early_reject_preserves_front_and_selection(explorer, serial_reference):
 
 
 def test_stats_account_for_every_job(explorer):
-    outcome = run_exploration(explorer, config=ExecutorConfig(chunk_size=5))
+    outcome = run_exploration(explorer, chunk_size=5)
     stats = outcome.stats
     non_base = [c for c in enumerate_design_space() if c.kind != "base"]
     # Distinct jobs: the non-base candidates plus the single base point
@@ -202,10 +185,10 @@ def test_feasibility_helper_matches_method(explorer):
 # ----------------------------------------------------------------------
 # Vectorized batch path
 # ----------------------------------------------------------------------
-def test_batch_path_engages_and_matches_scalar(explorer):
+def test_batch_path_engages_and_matches_scalar(explorer, monkeypatch):
     pytest.importorskip("numpy")
-    scalar = run_exploration(explorer, config=ExecutorConfig(batch=False))
-    batch = run_exploration(explorer, config=ExecutorConfig())
+    scalar = scalar_exploration(explorer, monkeypatch)
+    batch = run_exploration(explorer)
     assert scalar.stats.batch_evaluations == 0
     # The base point is evaluated once up front through the scalar
     # single-job path; every wave-dispatched candidate is batched.
@@ -216,22 +199,6 @@ def test_batch_path_engages_and_matches_scalar(explorer):
     assert batch.result.feasible == scalar.result.feasible
     assert batch.result.pareto == scalar.result.pareto
     assert batch.result.selected == scalar.result.selected
-
-
-def test_batch_path_engages_on_thread_backend(explorer):
-    pytest.importorskip("numpy")
-    config = ExecutorConfig(backend="thread", workers=2, chunk_size=3)
-    outcome = run_exploration(explorer, config=config)
-    assert outcome.stats.batch_evaluations == outcome.stats.evaluated - 1 > 0
-    scalar = run_exploration(explorer, config=ExecutorConfig(batch=False))
-    assert outcome.result.evaluated == scalar.result.evaluated
-
-
-def test_batch_path_disabled_for_process_backend(explorer):
-    config = ExecutorConfig(backend="process", workers=2, chunk_size=8)
-    outcome = run_exploration(explorer, config=config)
-    assert outcome.stats.batch_evaluations == 0
-    assert outcome.stats.evaluated > 0
 
 
 def test_batch_path_skips_cache_hits(explorer, tmp_path):
@@ -248,12 +215,10 @@ def test_batch_path_skips_cache_hits(explorer, tmp_path):
     assert second.result.evaluated == cold.result.evaluated
 
 
-def test_batch_path_with_early_reject_matches_scalar(explorer):
+def test_batch_path_with_early_reject_matches_scalar(explorer, monkeypatch):
     pytest.importorskip("numpy")
-    scalar = run_exploration(
-        explorer, config=ExecutorConfig(batch=False), early_reject=True
-    )
-    batch = run_exploration(explorer, config=ExecutorConfig(), early_reject=True)
+    scalar = scalar_exploration(explorer, monkeypatch, early_reject=True)
+    batch = run_exploration(explorer, early_reject=True)
     assert batch.result.pareto == scalar.result.pareto
     assert batch.result.selected == scalar.result.selected
     assert batch.rejected == scalar.rejected
@@ -264,9 +229,10 @@ def test_batch_falls_back_without_numpy(explorer, monkeypatch):
     import repro.core.batch as batch_module
 
     monkeypatch.setattr(batch_module, "_np", None)
-    outcome = run_exploration(explorer, config=ExecutorConfig(batch=True))
+    outcome = run_exploration(explorer)
     assert outcome.stats.batch_evaluations == 0
     assert outcome.stats.evaluated > 0
-    reference = run_exploration(explorer, config=ExecutorConfig(batch=False))
+    monkeypatch.undo()
+    reference = run_exploration(explorer)
     assert outcome.result.evaluated == reference.result.evaluated
     assert outcome.result.selected == reference.result.selected

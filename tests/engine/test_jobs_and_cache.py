@@ -111,6 +111,46 @@ def test_campaign_spec_rejects_unknown_suite():
         CampaignSpec(suites=())
 
 
+#: Fingerprints pinned from before the parallel backends were removed:
+#: serial specs keep their identity, so their checkpoints still resume and
+#: their coordinator campaign ids are unchanged.
+DEFAULT_SPEC_FINGERPRINT = "a0543743d8f80b3917433c257bfb2a77a4792a2b9229a50c95282af6041a0a0f"
+RESUME_SPEC_FINGERPRINT = "191fa3278c61e761f809a926152d489eef8778920895e285d04becdf8f033545"
+
+
+def test_serial_spec_fingerprints_are_pinned():
+    from repro.engine.checkpoint import campaign_fingerprint
+
+    assert campaign_fingerprint(CampaignSpec()) == DEFAULT_SPEC_FINGERPRINT
+    # The spec of the CI campaign-resume job.
+    resume_spec = CampaignSpec(
+        suites=("dsp", "h264"),
+        max_rows_shared=3,
+        max_cols_shared=3,
+        stage_options=(1, 2, 3),
+        chunk_size=2,
+    )
+    assert campaign_fingerprint(resume_spec) == RESUME_SPEC_FINGERPRINT
+    # The legacy fields still ride in the wire form, with their only values.
+    payload = resume_spec.as_payload()
+    assert (payload["backend"], payload["workers"]) == ("serial", 1)
+    assert CampaignSpec.from_payload(payload) == resume_spec
+
+
+def test_campaign_spec_rejects_removed_backends():
+    for kwargs in ({"backend": "thread"}, {"backend": "process"}, {"workers": 2},
+                   {"workers": 0}):
+        with pytest.raises(ExplorationError, match="backends were removed"):
+            CampaignSpec(**kwargs)
+    old_payload = dict(CampaignSpec().as_payload(), backend="process", workers=4)
+    with pytest.raises(ExplorationError, match="backends were removed"):
+        CampaignSpec.from_payload(old_payload)
+    with pytest.raises(ExplorationError, match="backends were removed"):
+        CampaignSpec.from_payload(dict(CampaignSpec().as_payload(), workers=4))
+    with pytest.raises(ExplorationError, match="chunk_size"):
+        CampaignSpec(chunk_size=0)
+
+
 def test_suite_kernels_known_and_unknown():
     for name in SUITE_NAMES:
         kernels = suite_kernels(name)

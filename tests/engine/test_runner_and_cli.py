@@ -20,8 +20,6 @@ def small_spec():
         suites=("h264",),
         max_rows_shared=1,
         max_cols_shared=1,
-        workers=2,
-        backend="thread",
         chunk_size=2,
     )
 
@@ -118,8 +116,9 @@ def test_campaign_report_serialises(campaign_outcome):
 def test_cli_parser_defaults():
     args = build_parser().parse_args([])
     assert args.suites is None
-    assert args.backend == "thread"
+    assert args.backend == "serial"
     assert args.workers == 1
+    assert args.chunk_size == 8
 
 
 def test_cli_runs_campaign_and_writes_report(tmp_path, capsys):
@@ -129,7 +128,6 @@ def test_cli_runs_campaign_and_writes_report(tmp_path, capsys):
         "--suite", "h264",
         "--max-rows-shared", "1",
         "--max-cols-shared", "1",
-        "--workers", "2",
         "--cache-dir", str(cache_dir),
         "--output", str(output),
     ]
@@ -148,11 +146,29 @@ def test_cli_runs_campaign_and_writes_report(tmp_path, capsys):
 
 
 def test_cli_reports_domain_errors_cleanly(capsys):
-    assert main(["--suite", "h264", "--workers", "0", "--no-cache", "--quiet"]) == 2
+    assert main(["--suite", "h264", "--chunk-size", "0", "--no-cache", "--quiet"]) == 2
     captured = capsys.readouterr()
-    assert "error: workers must be at least 1" in captured.err
+    assert "error: chunk_size must be at least 1" in captured.err
     assert main(["--suite", "h264", "--stages", "0", "--no-cache", "--quiet"]) == 2
     assert "invalid pipeline stage count" in capsys.readouterr().err
+
+
+def test_cli_accepts_only_the_serial_backend(tmp_path, capsys):
+    # --backend/--workers stay (hidden) for callers passing the serial
+    # defaults; any other value is a clean exit 2 naming the removal.
+    parser = build_parser()
+    assert "--backend" not in parser.format_help()
+    assert "--workers" not in parser.format_help()
+    base = ["--suite", "h264", "--max-rows-shared", "1", "--max-cols-shared", "1",
+            "--no-cache", "--quiet"]
+    for extra in (["--backend", "process"], ["--workers", "2"], ["--backend", "thread"]):
+        assert main(base + extra) == 2
+        assert "the thread and process backends were removed" in capsys.readouterr().err
+    output = tmp_path / "report.json"
+    assert main(base + ["--backend", "serial", "--workers", "1",
+                        "--output", str(output)]) == 0
+    report = json.loads(output.read_text())["report"]
+    assert "backend" not in report and "workers" not in report
 
 
 def test_cli_no_cache_and_quiet(tmp_path, capsys):
@@ -230,10 +246,18 @@ def test_cli_artifact_dir_defaults_to_cache_dir(tmp_path):
 # ----------------------------------------------------------------------
 # Vectorized batch path through the runner and the CLI
 # ----------------------------------------------------------------------
-def test_runner_batch_flag_and_counters(small_spec):
+def without_numpy(monkeypatch):
+    """Reach the scalar path the way a numpy-less platform does."""
+    import repro.core.batch as batch_module
+
+    monkeypatch.setattr(batch_module, "numpy_available", lambda: False)
+
+
+def test_runner_batch_flag_and_counters(small_spec, monkeypatch):
     pytest.importorskip("numpy")
     batched, batched_results = CampaignRunner(small_spec).run()
-    scalar, scalar_results = CampaignRunner(small_spec, batch=False).run()
+    without_numpy(monkeypatch)
+    scalar, scalar_results = CampaignRunner(small_spec).run()
     assert scalar.batch_evaluations == 0
     assert all(suite.batch_evaluations == 0 for suite in scalar.suites)
     assert batched.batch_evaluations > 0
@@ -255,14 +279,18 @@ def test_runner_batch_counters_zero_without_numpy(small_spec, monkeypatch):
     assert report.suites[0].selected is not None
 
 
-def test_cli_batch_flags():
+def test_cli_batch_flags(capsys):
+    # The batch/scalar choice is numpy availability alone: no flag selects it.
     parser = build_parser()
-    assert parser.parse_args([]).batch is None
-    assert parser.parse_args(["--batch"]).batch is True
-    assert parser.parse_args(["--no-batch"]).batch is False
+    assert not hasattr(parser.parse_args([]), "batch")
+    for flag in ("--batch", "--no-batch"):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args([flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cli_no_batch_matches_default_report(tmp_path, capsys):
+def test_cli_no_batch_matches_default_report(tmp_path, capsys, monkeypatch):
     pytest.importorskip("numpy")
     base_args = [
         "--suite", "h264", "--max-rows-shared", "1", "--max-cols-shared", "1",
@@ -271,7 +299,8 @@ def test_cli_no_batch_matches_default_report(tmp_path, capsys):
     fast = tmp_path / "fast.json"
     slow = tmp_path / "slow.json"
     assert main(base_args + ["--output", str(fast)]) == 0
-    assert main(base_args + ["--no-batch", "--output", str(slow)]) == 0
+    without_numpy(monkeypatch)
+    assert main(base_args + ["--output", str(slow)]) == 0
     capsys.readouterr()
     fast_payload = json.loads(fast.read_text())
     slow_payload = json.loads(slow.read_text())

@@ -170,6 +170,17 @@ def test_stream_report_is_byte_identical_across_fresh_runs(small_spec, tmp_path)
     assert "wall_seconds" not in json.dumps(payload)  # no timings leak in
 
 
+def test_both_report_writers_drop_the_executor_fields(small_spec, tmp_path):
+    from repro.utils.serialization import to_json
+
+    _, report, _ = run_streamed(small_spec, tmp_path, "fields")
+    streamed = json.loads(write_stream_report(tmp_path / "r.json", report))
+    plain = json.loads(to_json(report))
+    for payload in (streamed, plain):
+        assert "backend" not in payload and "workers" not in payload
+        assert payload["chunk_size"] == small_spec.chunk_size
+
+
 class _CrashAfterWave:
     """Wrap a suite observer so the campaign dies after N live waves."""
 
