@@ -1,12 +1,11 @@
 """Setup shim enabling legacy editable installs on environments without the
-``wheel`` package.  The library's one runtime dependency is networkx (the
-DFG in ``repro.ir.dfg`` wraps it); the ``fast`` extra pulls in numpy for the vectorized evaluation path (``pip install
+``wheel`` package.  The library itself is stdlib-only; the ``fast`` extra
+pulls in numpy for the vectorized evaluation path (``pip install
 repro[fast]``), which the engine auto-detects and the scalar models back
 up bit-for-bit when it is absent."""
 
 from setuptools import setup
 
 setup(
-    install_requires=["networkx"],
     extras_require={"fast": ["numpy"]},
 )

@@ -11,18 +11,19 @@ used throughout the reproduction:
 * :class:`Operation` — a single operation instance, annotated with the loop
   iteration it belongs to (the RS rearrangement rule orders operations by
   iteration).
-* :class:`DFG` — the dependence graph, a thin convenience wrapper around a
-  :class:`networkx.DiGraph`.
+* :class:`DFG` — the dependence graph, stored as insertion-ordered
+  adjacency dictionaries (stdlib only).  Nodes, edges, predecessors and
+  successors iterate in insertion order, and :meth:`DFG.topological_order`
+  is a FIFO Kahn order seeded in operation order.  ``to_dict`` bytes, and
+  so every content fingerprint and artifact key, depend on these orders.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import DFGError, DFGValidationError, UnknownOperationError
 
@@ -174,15 +175,19 @@ class Operation:
 class DFG:
     """A kernel dataflow graph.
 
-    Nodes are operation names, node attribute ``op`` holds the
-    :class:`Operation`.  Edges are data dependences from producer to
-    consumer; the optional edge attribute ``port`` records which operand
-    port of the consumer the value feeds (0 or 1 for binary operations).
+    Nodes are operation names mapped to their :class:`Operation`.  Edges
+    are data dependences from producer to consumer; each edge records which
+    operand port of the consumer the value feeds (0 or 1 for binary
+    operations, ``None`` when unspecified), see :meth:`port`.
     """
 
     def __init__(self, name: str = "dfg") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
+        self._ops: Dict[str, Operation] = {}
+        # producer -> {consumer: port} and consumer -> {producer: port},
+        # both in edge insertion order.
+        self._succ: Dict[str, Dict[str, Optional[int]]] = {}
+        self._pred: Dict[str, Dict[str, Optional[int]]] = {}
         self._counter = itertools.count()
 
     # ------------------------------------------------------------------
@@ -192,52 +197,53 @@ class DFG:
         """Return a new operation name unique within this DFG."""
         while True:
             candidate = f"{prefix}_{next(self._counter)}"
-            if candidate not in self._graph:
+            if candidate not in self._ops:
                 return candidate
 
     def add_operation(self, operation: Operation) -> Operation:
         """Add ``operation`` to the graph.  Names must be unique."""
-        if operation.name in self._graph:
+        if operation.name in self._ops:
             raise DFGError(f"duplicate operation name: {operation.name!r}")
-        self._graph.add_node(operation.name, op=operation)
+        self._ops[operation.name] = operation
+        self._succ[operation.name] = {}
+        self._pred[operation.name] = {}
         return operation
 
     def add_dependence(self, producer: str, consumer: str, port: Optional[int] = None) -> None:
-        """Add a data dependence edge from ``producer`` to ``consumer``."""
+        """Add a data dependence edge from ``producer`` to ``consumer``.
+
+        Re-adding an existing edge keeps its position and sets its port.
+        """
         for name in (producer, consumer):
-            if name not in self._graph:
+            if name not in self._ops:
                 raise UnknownOperationError(f"unknown operation: {name!r}")
         if producer == consumer:
             raise DFGError(f"self dependence on {producer!r} is not allowed")
-        self._graph.add_edge(producer, consumer, port=port)
+        self._succ[producer][consumer] = port
+        self._pred[consumer][producer] = port
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._ops)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._ops
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._graph.nodes)
-
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying :class:`networkx.DiGraph` (read-only use expected)."""
-        return self._graph
+        return iter(self._ops)
 
     def operation(self, name: str) -> Operation:
         """Return the :class:`Operation` registered under ``name``."""
         try:
-            return self._graph.nodes[name]["op"]
+            return self._ops[name]
         except KeyError as exc:
             raise UnknownOperationError(f"unknown operation: {name!r}") from exc
 
     def operations(self) -> List[Operation]:
         """All operations, in insertion order."""
-        return [self._graph.nodes[name]["op"] for name in self._graph.nodes]
+        return list(self._ops.values())
 
     def operations_of_type(self, optype: OpType) -> List[Operation]:
         """All operations with the given type."""
@@ -245,36 +251,65 @@ class DFG:
 
     def predecessors(self, name: str) -> List[str]:
         """Names of operations producing values consumed by ``name``."""
-        if name not in self._graph:
+        if name not in self._pred:
             raise UnknownOperationError(f"unknown operation: {name!r}")
-        return list(self._graph.predecessors(name))
+        return list(self._pred[name])
 
     def successors(self, name: str) -> List[str]:
         """Names of operations consuming the value produced by ``name``."""
-        if name not in self._graph:
+        if name not in self._succ:
             raise UnknownOperationError(f"unknown operation: {name!r}")
-        return list(self._graph.successors(name))
+        return list(self._succ[name])
+
+    def port(self, producer: str, consumer: str) -> Optional[int]:
+        """Operand port of ``consumer`` fed by the edge from ``producer``."""
+        try:
+            return self._succ[producer][consumer]
+        except KeyError as exc:
+            raise DFGError(f"no dependence from {producer!r} to {consumer!r}") from exc
 
     def edges(self) -> List[Tuple[str, str]]:
-        """All dependence edges as (producer, consumer) pairs."""
-        return list(self._graph.edges())
+        """All dependence edges as (producer, consumer) pairs.
+
+        Grouped by producer in operation order, each group in the order its
+        edges were added.
+        """
+        return [
+            (producer, consumer)
+            for producer, consumers in self._succ.items()
+            for consumer in consumers
+        ]
 
     def number_of_edges(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(consumers) for consumers in self._succ.values())
+
+    def _kahn_order(self) -> List[str]:
+        """Kahn's algorithm with a FIFO queue seeded in operation order.
+
+        Covers every operation exactly when the graph is acyclic.
+        """
+        indegree = {name: len(producers) for name, producers in self._pred.items()}
+        order = [name for name, degree in indegree.items() if degree == 0]
+        for name in order:
+            for consumer in self._succ[name]:
+                indegree[consumer] -= 1
+                if indegree[consumer] == 0:
+                    order.append(consumer)
+        return order
 
     def topological_order(self) -> List[str]:
         """Operation names in a topological order.
 
         Raises :class:`DFGValidationError` when the graph has a cycle.
         """
-        try:
-            return list(nx.topological_sort(self._graph))
-        except nx.NetworkXUnfeasible as exc:
-            raise DFGValidationError(f"DFG {self.name!r} contains a dependence cycle") from exc
+        order = self._kahn_order()
+        if len(order) != len(self._ops):
+            raise DFGValidationError(f"DFG {self.name!r} contains a dependence cycle")
+        return order
 
     def is_acyclic(self) -> bool:
         """True when the dependence graph has no cycles."""
-        return nx.is_directed_acyclic_graph(self._graph)
+        return len(self._kahn_order()) == len(self._ops)
 
     def iterations(self) -> List[int]:
         """Sorted list of distinct iteration indices present in the graph."""
@@ -369,7 +404,7 @@ class DFG:
         renaming: Dict[str, str] = {}
         for op in other.operations():
             new_name = op.name if prefix is None else f"{prefix}{op.name}"
-            if new_name in self._graph:
+            if new_name in self._ops:
                 new_name = self.fresh_name(new_name)
             renamed = Operation(
                 name=new_name,
@@ -383,8 +418,9 @@ class DFG:
             self.add_operation(renamed)
             renaming[op.name] = new_name
         for producer, consumer in other.edges():
-            port = other.graph.edges[producer, consumer].get("port")
-            self.add_dependence(renaming[producer], renaming[consumer], port=port)
+            self.add_dependence(
+                renaming[producer], renaming[consumer], port=other.port(producer, consumer)
+            )
         return renaming
 
     def copy(self, name: Optional[str] = None) -> "DFG":
@@ -413,7 +449,7 @@ class DFG:
                 {
                     "producer": producer,
                     "consumer": consumer,
-                    "port": self._graph.edges[producer, consumer].get("port"),
+                    "port": self.port(producer, consumer),
                 }
                 for producer, consumer in self.edges()
             ],

@@ -28,7 +28,6 @@ paper's rule that shared resources are granted in loop-iteration order.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arch.template import ArchitectureSpec
@@ -76,32 +75,38 @@ class LoopPipeliningScheduler:
         """Map ``dfg`` onto the architecture and return the schedule."""
         name = kernel_name or dfg.name
         result = Schedule(self.architecture, kernel_name=name)
-        schedulable = [
-            op for op in dfg.operations() if op.optype not in _UNSCHEDULED_OPTYPES
-        ]
-        if not schedulable:
+        operations = {
+            op.name: op for op in dfg.operations() if op.optype not in _UNSCHEDULED_OPTYPES
+        }
+        if not operations:
             return result
 
+        # Everything the cycle loop reads from the DFG, read once.
         priorities = self._downstream_priorities(dfg)
-        pending_preds: Dict[str, int] = {}
-        earliest: Dict[str, int] = {}
-        for op in schedulable:
-            real_preds = [
-                pred
-                for pred in dfg.predecessors(op.name)
-                if dfg.operation(pred).optype not in _UNSCHEDULED_OPTYPES
-            ]
-            pending_preds[op.name] = len(real_preds)
-            earliest[op.name] = 0
-
-        ready: Set[str] = {
-            op.name for op in schedulable if pending_preds[op.name] == 0
+        predecessors = {
+            op_name: [pred for pred in dfg.predecessors(op_name) if pred in operations]
+            for op_name in operations
         }
-        unscheduled = {op.name for op in schedulable}
+        successors = {
+            op_name: [succ for succ in dfg.successors(op_name) if succ in operations]
+            for op_name in operations
+        }
+        order_key = {
+            op_name: (operation.iteration, -priorities[op_name], op_name)
+            for op_name, operation in operations.items()
+        }
+        slot_class = {
+            op_name: (self._slot_kind(operation), self.occupancy_of(operation))
+            for op_name, operation in operations.items()
+        }
+        pending_preds = {op_name: len(preds) for op_name, preds in predecessors.items()}
+        earliest = dict.fromkeys(operations, 0)
+        ready: Set[str] = {op_name for op_name, count in pending_preds.items() if count == 0}
+        unscheduled = len(operations)
         tracker = ResourceTracker(self.architecture)
-        placements: Dict[str, Tuple[int, int]] = {}
+        placed_row: Dict[str, int] = {}
 
-        limit = self.max_cycles or (10 * len(schedulable) + 1000)
+        limit = self.max_cycles or (10 * len(operations) + 1000)
         cycle = 0
         while unscheduled:
             if cycle > limit:
@@ -111,22 +116,32 @@ class LoopPipeliningScheduler:
                 )
             candidates = sorted(
                 (op_name for op_name in ready if earliest[op_name] <= cycle),
-                key=lambda op_name: (
-                    dfg.operation(op_name).iteration,
-                    -priorities[op_name],
-                    op_name,
-                ),
+                key=order_key.__getitem__,
             )
+            # Slot classes that found no PE in this cycle.  Skipping the rest
+            # of such a class is exact because (1) claims made inside a cycle
+            # only ever add occupancy, and (2) every _find_placement call
+            # scans all rows x cols, so its success depends only on the
+            # class, never on the operation's row or column preference.
+            full_classes: Set[Tuple[Optional[OpType], int]] = set()
             for op_name in candidates:
-                operation = dfg.operation(op_name)
-                latency = self.latency_of(operation)
-                occupancy = self.occupancy_of(operation)
+                op_class = slot_class[op_name]
+                if op_class in full_classes:
+                    continue
+                operation = operations[op_name]
+                occupancy = op_class[1]
                 placement = self._find_placement(
-                    operation, cycle, occupancy, tracker, dfg, placements
+                    operation,
+                    cycle,
+                    occupancy,
+                    tracker,
+                    [placed_row[pred] for pred in predecessors[op_name]],
                 )
                 if placement is None:
+                    full_classes.add(op_class)
                     continue
                 row, col, shared_unit = placement
+                latency = self.latency_of(operation)
                 tracker.claim(operation, cycle, row, col, occupancy, shared_unit)
                 result.add(
                     ScheduledOperation(
@@ -139,14 +154,11 @@ class LoopPipeliningScheduler:
                         shared_unit=shared_unit,
                     )
                 )
-                placements[op_name] = (row, col)
+                placed_row[op_name] = row
                 ready.discard(op_name)
-                unscheduled.discard(op_name)
+                unscheduled -= 1
                 finish = cycle + latency
-                for successor in dfg.successors(op_name):
-                    successor_op = dfg.operation(successor)
-                    if successor_op.optype in _UNSCHEDULED_OPTYPES:
-                        continue
+                for successor in successors[op_name]:
                     earliest[successor] = max(earliest[successor], finish)
                     pending_preds[successor] -= 1
                     if pending_preds[successor] == 0:
@@ -169,29 +181,39 @@ class LoopPipeliningScheduler:
             priorities[op_name] = latency + downstream
         return priorities
 
+    def _slot_kind(self, operation: Operation) -> Optional[OpType]:
+        """The resources besides a free PE that ``operation`` needs to issue.
+
+        A load or a store also needs a slot on its row's read or write bus,
+        a multiplication on a sharing architecture needs a shared-unit issue
+        slot; every other operation needs only the PE.
+        """
+        if operation.is_memory:
+            return operation.optype
+        if operation.is_multiplication and self.architecture.uses_sharing:
+            return OpType.MUL
+        return None
+
     def _find_placement(
         self,
         operation: Operation,
         cycle: int,
         duration: int,
         tracker: ResourceTracker,
-        dfg: DFG,
-        placements: Dict[str, Tuple[int, int]],
+        predecessor_rows: List[int],
     ) -> Optional[Tuple[int, int, Optional[Tuple[str, int, int]]]]:
         """Pick a PE (and shared unit) for ``operation`` at ``cycle``.
 
         Columns are visited in preference order (the iteration's column
         first); within a column, rows already holding the operation's
-        predecessors are preferred so operands stay local.
+        predecessors are preferred so operands stay local.  The busy-row
+        mask of each column skips a full column at once and never probes a
+        busy PE; every other candidate goes through
+        :meth:`ResourceTracker.placement_feasible`.
         """
         spec = self.architecture.array
-        preferred_rows = [
-            placements[pred][0]
-            for pred in dfg.predecessors(operation.name)
-            if pred in placements
-        ]
-        row_order = list(dict.fromkeys(preferred_rows)) + [
-            row for row in range(spec.rows) if row not in preferred_rows
+        row_order = list(dict.fromkeys(predecessor_rows)) + [
+            row for row in range(spec.rows) if row not in predecessor_rows
         ]
         if operation.is_multiplication:
             # Spread concurrent multiplications over the rows so the per-row
@@ -202,8 +224,14 @@ class LoopPipeliningScheduler:
                 row_order,
                 key=lambda row: (tracker.multiplications_in_row(cycle, row), rank[row]),
             )
+        all_rows = (1 << spec.rows) - 1
         for col in column_preference(operation.iteration, spec.cols):
+            busy = tracker.busy_rows(cycle, col, duration)
+            if busy == all_rows:
+                continue
             for row in row_order:
+                if (busy >> row) & 1:
+                    continue
                 feasible, shared_unit = tracker.placement_feasible(
                     operation, cycle, row, col, duration
                 )

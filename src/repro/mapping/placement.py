@@ -9,6 +9,10 @@ PE) triple:
   slot in that cycle?
 * once the answer is yes, record the claims so later decisions see them.
 
+PE occupancy is kept as one bitmask of busy rows per ``(cycle, column)``
+(:meth:`ResourceTracker.busy_rows`), so the scheduler can reject a full
+column, or a busy row, without probing it.
+
 The same tracker is used by the base mapper (:mod:`repro.mapping.loop_pipelining`)
 and by the context rearrangement (:mod:`repro.mapping.rearrange`), which is
 what keeps the two paths consistent.
@@ -17,8 +21,7 @@ what keeps the two paths consistent.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.array import SharedUnitId
 from repro.arch.template import ArchitectureSpec
@@ -41,7 +44,8 @@ class ResourceTracker:
     def __init__(self, architecture: ArchitectureSpec, unlimited_shared: bool = False) -> None:
         self.architecture = architecture
         self.unlimited_shared = unlimited_shared
-        self._pe_busy: Dict[Tuple[int, int, int], str] = {}
+        # (cycle, col) -> bitmask with bit ``row`` set while PE (row, col) is busy.
+        self._busy_rows: Dict[Tuple[int, int], int] = {}
         self._loads: Dict[Tuple[int, int], int] = defaultdict(int)
         self._stores: Dict[Tuple[int, int], int] = defaultdict(int)
         self._unit_issues: Dict[Tuple[SharedUnitId, int], str] = {}
@@ -52,23 +56,30 @@ class ResourceTracker:
     # ------------------------------------------------------------------
     # Processing elements
     # ------------------------------------------------------------------
+    def busy_rows(self, cycle: int, col: int, duration: int) -> int:
+        """Bitmask of the rows of ``col`` busy in any of ``duration`` cycles from ``cycle``."""
+        busy = self._busy_rows
+        mask = 0
+        for offset_cycle in range(cycle, cycle + duration):
+            mask |= busy.get((offset_cycle, col), 0)
+        return mask
+
     def pe_free(self, cycle: int, row: int, col: int, duration: int) -> bool:
         """True when PE (row, col) is idle for ``duration`` cycles from ``cycle``."""
-        return all(
-            (offset_cycle, row, col) not in self._pe_busy
-            for offset_cycle in range(cycle, cycle + duration)
-        )
+        return not (self.busy_rows(cycle, col, duration) >> row) & 1
 
     def claim_pe(self, cycle: int, row: int, col: int, duration: int, name: str) -> None:
         """Mark PE (row, col) busy for ``duration`` cycles starting at ``cycle``."""
+        if not self.pe_free(cycle, row, col, duration):
+            raise PlacementError(
+                f"PE ({row},{col}) is already busy in cycles {cycle}..{cycle + duration - 1}; "
+                f"cannot place {name!r}"
+            )
+        busy = self._busy_rows
+        bit = 1 << row
         for offset_cycle in range(cycle, cycle + duration):
-            key = (offset_cycle, row, col)
-            if key in self._pe_busy:
-                raise PlacementError(
-                    f"PE ({row},{col}) already busy at cycle {offset_cycle} "
-                    f"with {self._pe_busy[key]!r}"
-                )
-            self._pe_busy[key] = name
+            key = (offset_cycle, col)
+            busy[key] = busy.get(key, 0) | bit
 
     # ------------------------------------------------------------------
     # Row data buses

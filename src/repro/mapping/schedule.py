@@ -212,7 +212,8 @@ class Schedule:
 
         Raises :class:`SchedulingError` on the first violation found:
         missing operations, dependence violations, PE double-booking, bus
-        over-subscription or shared-unit conflicts.
+        over-subscription, shared units the architecture does not have, or
+        shared-unit conflicts.
         """
         spec = self.architecture
         for op in dfg.operations():
@@ -279,16 +280,25 @@ class Schedule:
                         f"multiplication {entry.name!r} has no shared multiplier on "
                         f"architecture {spec.name!r}"
                     )
-                scope, line, _ = entry.shared_unit
-                if scope == "row" and line != entry.row:
+                scope, line, ordinal = entry.shared_unit
+                if scope == "row":
+                    label, position, units = "row", entry.row, spec.sharing.rows_shared
+                elif scope == "col":
+                    label, position, units = "column", entry.col, spec.sharing.cols_shared
+                else:
                     raise SchedulingError(
-                        f"multiplication {entry.name!r} on PE row {entry.row} uses a "
-                        f"multiplier of row {line}"
+                        f"multiplication {entry.name!r} uses shared unit "
+                        f"{entry.shared_unit} of unknown scope {scope!r}"
                     )
-                if scope == "col" and line != entry.col:
+                if line != position:
                     raise SchedulingError(
-                        f"multiplication {entry.name!r} on PE column {entry.col} uses a "
-                        f"multiplier of column {line}"
+                        f"multiplication {entry.name!r} on PE {label} {position} uses a "
+                        f"multiplier of {label} {line}"
+                    )
+                if not 0 <= ordinal < units:
+                    raise SchedulingError(
+                        f"multiplication {entry.name!r} uses {label} multiplier {ordinal}, "
+                        f"but architecture {spec.name!r} shares {units} per {label}"
                     )
                 key = (entry.shared_unit, entry.cycle)
                 if key in unit_issues:

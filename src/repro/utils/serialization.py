@@ -15,8 +15,16 @@ from pathlib import Path
 from typing import Any, Union
 
 
+#: Exact types returned as they are.  Compared with ``type(value) in``, not
+#: ``isinstance``, so subclasses such as ``IntEnum`` members still take the
+#: enum branch below.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def dataclass_to_dict(value: Any) -> Any:
     """Recursively convert dataclasses, enums, tuples and paths to JSON types."""
+    if type(value) in _SCALAR_TYPES:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             field.name: dataclass_to_dict(getattr(value, field.name))

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import DFGError, DFGValidationError, UnknownOperationError
 from repro.ir import DFG, Operation, OpType
 
@@ -129,6 +134,34 @@ class TestDFGQueries:
         with pytest.raises(DFGValidationError):
             dfg.topological_order()
 
+    def test_topological_order_is_fifo_kahn_in_operation_order(self):
+        # Sources in operation order, then each newly freed consumer in the
+        # order its last producer was dequeued; critical_path breaks ties
+        # in this order.
+        dfg = DFG()
+        for name in ("p", "q", "x", "y", "z"):
+            dfg.add_operation(Operation(name, OpType.ADD))
+        dfg.add_dependence("q", "z")
+        dfg.add_dependence("p", "y")
+        dfg.add_dependence("y", "x")
+        assert dfg.topological_order() == ["p", "q", "y", "z", "x"]
+        assert dfg.is_acyclic()
+
+    def test_edges_group_by_producer_in_insertion_order(self):
+        dfg = simple_mac_dfg()
+        assert dfg.edges() == [("a", "c"), ("b", "c"), ("c", "d"), ("k", "d"), ("d", "s")]
+        assert dfg.predecessors("d") == ["c", "k"]
+
+    def test_port_lookup_and_re_added_edge(self):
+        dfg = simple_mac_dfg()
+        assert dfg.port("b", "c") == 1
+        dfg.add_dependence("a", "c", port=1)
+        assert dfg.port("a", "c") == 1
+        assert dfg.edges()[0] == ("a", "c")
+        assert dfg.number_of_edges() == 5
+        with pytest.raises(DFGError, match="no dependence"):
+            dfg.port("c", "a")
+
     def test_op_counts_and_operation_set(self):
         dfg = simple_mac_dfg()
         counts = dfg.op_counts()
@@ -180,7 +213,7 @@ class TestDFGSerialisation:
         assert len(rebuilt) == len(dfg)
         assert rebuilt.number_of_edges() == dfg.number_of_edges()
         assert rebuilt.operation("k").immediate == 3
-        assert rebuilt.graph.edges["a", "c"]["port"] == 0
+        assert rebuilt.port("a", "c") == 0
 
     def test_copy_is_independent(self):
         dfg = simple_mac_dfg()
@@ -194,3 +227,18 @@ class TestDFGSerialisation:
         renaming = dfg.merge(other)
         assert len(dfg) == 12
         assert all(new_name in dfg for new_name in renaming.values())
+
+
+def test_cli_import_does_not_load_networkx():
+    # The DFG is stdlib-only: importing the campaign CLI must not pull in
+    # networkx, which is no declared dependency.
+    probe = "import sys, repro.engine.__main__; print('networkx' in sys.modules)"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert completed.stdout.strip() == "False"

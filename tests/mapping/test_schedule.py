@@ -177,6 +177,44 @@ class TestScheduleValidation:
         with pytest.raises(SchedulingError, match="multiplier of row 5"):
             schedule.validate(dfg)
 
+    def shared_mult_schedule(self, arch, row, col, unit):
+        dfg, (a, b, c) = tiny_dfg()
+        schedule = Schedule(arch)
+        schedule.add(entry(dfg.operation(a), 0, 0, 0))
+        schedule.add(entry(dfg.operation(b), 0, 1, 0))
+        schedule.add(entry(dfg.operation(c), 1, row, col, shared=unit))
+        store = [op for op in dfg.operations() if op.optype is OpType.STORE][0]
+        schedule.add(entry(store, 2, 0, 0))
+        return dfg, schedule
+
+    def test_existing_shared_units_pass(self):
+        # RS#4 shares two multipliers per row and two per column.
+        for unit in (("row", 0, 0), ("row", 0, 1), ("col", 0, 0), ("col", 0, 1)):
+            dfg, schedule = self.shared_mult_schedule(rs_architecture(4), 0, 0, unit)
+            schedule.validate(dfg)
+
+    def test_row_ordinal_beyond_rows_shared_rejected(self):
+        # RS#1 has one multiplier per row: ordinal 7 does not exist.
+        dfg, schedule = self.shared_mult_schedule(rs_architecture(1), 0, 0, ("row", 0, 7))
+        with pytest.raises(SchedulingError, match="row multiplier 7"):
+            schedule.validate(dfg)
+
+    def test_column_unit_without_column_sharing_rejected(self):
+        # RS#2 shares per row only (cols_shared = 0).
+        dfg, schedule = self.shared_mult_schedule(rs_architecture(2), 0, 3, ("col", 3, 0))
+        with pytest.raises(SchedulingError, match="shares 0 per column"):
+            schedule.validate(dfg)
+
+    def test_column_ordinal_beyond_cols_shared_rejected(self):
+        dfg, schedule = self.shared_mult_schedule(rs_architecture(3), 0, 3, ("col", 3, 1))
+        with pytest.raises(SchedulingError, match="column multiplier 1"):
+            schedule.validate(dfg)
+
+    def test_unknown_shared_unit_scope_rejected(self):
+        dfg, schedule = self.shared_mult_schedule(rs_architecture(4), 0, 0, ("diag", 0, 0))
+        with pytest.raises(SchedulingError, match="unknown scope 'diag'"):
+            schedule.validate(dfg)
+
     def test_shared_unit_issue_conflict_detected(self):
         arch = rs_architecture(1)
         builder = DFGBuilder()

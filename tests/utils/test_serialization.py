@@ -129,3 +129,29 @@ def test_campaign_report_round_trip():
     assert payload == dataclass_to_dict(report)
     assert payload["suites"][0]["kernels"] == ["MVM", "FFT"]
     assert payload["suites"][0]["selected"] == "rsp(shr=0,shc=1,stages=2)"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+def test_exact_scalars_pass_through_and_int_enums_do_not():
+    for scalar in ("text", 3, 2.5, True, None):
+        assert dataclass_to_dict(scalar) is scalar
+    # IntEnum members are ints, but serialise by name like every enum.
+    assert dataclass_to_dict(Level.LOW) == "LOW"
+    assert dataclass_to_dict({"level": Level.LOW, "flag": False}) == {
+        "level": "LOW",
+        "flag": False,
+    }
+
+
+def test_paper_kernel_fingerprint_is_pinned():
+    # Every artifact key derives from this digest; it must not move when
+    # the DFG's storage or the serialiser's fast paths change.
+    from repro.kernels import get_kernel
+    from repro.mapping.fingerprints import dfg_fingerprint
+
+    assert dfg_fingerprint(get_kernel("SAD").build()) == (
+        "79685c784ffad9bd37a6da647f4bdb20ce7cfa08643462c7a9e90487c9448c04"
+    )
